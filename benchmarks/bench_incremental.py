@@ -92,11 +92,13 @@ CI_GATE = {
 
 
 def _backends() -> List[str]:
-    from repro.core.stores import resolve_backend
+    """Every registered backend this machine can run, in registry order."""
+    from repro.core.stores import resolve_backend, store_backend_names
 
-    return ["object"] if resolve_backend("auto") == "object" else [
-        "object", "soa"
-    ]
+    auto = resolve_backend("auto")
+    runnable = {"object": True, "soa": auto != "object",
+                "native": auto == "native"}
+    return [name for name in store_backend_names() if runnable.get(name)]
 
 
 def _edit_classes(tree, rng) -> Dict[str, Callable]:

@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      choices=("auto",) + store_backend_names(),
                      default="auto",
                      help="candidate-store backend; 'auto' (default) "
-                          "picks soa when NumPy is available")
+                          "picks native, else soa, else object")
     buf.add_argument("--paper-pseudocode", action="store_true",
                      help="use the paper's destructive Convexpruning "
                           "(exact on 2-pin nets only)")
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("auto",) + store_backend_names(),
                        default="auto",
                        help="candidate-store backend; 'auto' (default) "
-                            "picks soa when NumPy is available")
+                            "picks native, else soa, else object")
     batch.add_argument("--jobs", type=int, default=1,
                        help="worker processes, >= 1 (default 1; pass your "
                             "CPU count for one worker per core)")
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=("auto",) + store_backend_names(),
                       default="auto",
                       help="candidate-store backend; 'auto' (default) "
-                           "picks soa when NumPy is available")
+                           "picks native, else soa, else object")
     edit.add_argument("--verify", action="store_true",
                       help="cross-check every step against a from-scratch "
                            "solve (bit-identical slack and assignment)")

@@ -5,9 +5,9 @@ Dispatch is a registry lookup (:mod:`repro.core.registry`): the
 strategy, and the ``backend`` argument names a registered candidate
 store (:mod:`repro.core.stores`) — or ``"auto"``, the default, which
 defers the choice to the execution router (:mod:`repro.routing`): the
-default ``static`` policy keeps the historical rule (SoA when NumPy is
-importable), ``policy="model"`` picks the store the fitted cost model
-predicts fastest for this request's size.  Third-party algorithms and
+default ``static`` policy picks the fastest available store (native, else
+SoA when NumPy is importable, else object), ``policy="model"`` picks the
+store the fitted cost model predicts fastest for this request's size.  Third-party algorithms and
 backends therefore plug in without touching this module.
 
 The first positional argument may be a plain
@@ -83,13 +83,14 @@ def insert_buffers(
     time only (that difference being the paper's entire point).
     ``backend`` selects how candidate lists are stored and operated on:
     ``"object"`` (Candidate objects), ``"soa"`` (structure-of-arrays
-    over NumPy), or ``"auto"`` (the default), which hands the choice to
-    the execution router: under the default ``policy="static"`` that
-    is the historical rule — SoA whenever NumPy is importable — while
-    ``policy="model"`` consults the fitted cost model, which typically
-    keeps small nets on the object store (below the kernel-launch
-    crossover) and large nets on SoA.  Every backend produces
-    bit-identical results, so the choice only ever moves running time.
+    over NumPy), ``"native"`` (the whole schedule in one C call), or
+    ``"auto"`` (the default), which hands the choice to the execution
+    router: under the default ``policy="static"`` that is the fastest
+    backend available — native, else SoA when NumPy is importable,
+    else object — while ``policy="model"`` consults the fitted cost
+    model when native is not available (it has no native curves).
+    Every backend produces bit-identical results, so the choice only
+    ever moves running time.
 
     Args:
         tree: A routing tree, or a pre-compiled net from

@@ -17,8 +17,8 @@ The *representation* of the candidate lists is pluggable too
 (:mod:`repro.core.stores`): with ``backend="object"`` (this engine-level
 function's default — the public :func:`~repro.core.api.insert_buffers`
 defaults to ``"auto"``, which defers the choice to the execution router
-(:mod:`repro.routing`; the default ``static`` policy keeps the
-historical SoA-when-NumPy rule))
+(:mod:`repro.routing`; the default ``static`` policy picks native, else
+SoA when NumPy imports, else object))
 the engine operates on bare ``CandidateList`` objects exactly as the seed
 code did — including the legacy list-level ``add_buffer`` /
 ``add_wire`` / ``merge`` callables used by the instrumentation modules —
@@ -309,6 +309,65 @@ def _finish(
     )
 
 
+def native_mode(backend: str, add_buffer: Callable) -> Optional[int]:
+    """The native executor's add-buffer mode for this solve, or ``None``.
+
+    Only the built-in store ops carry a ``native_mode`` tag; any other
+    callable (a plugin's own add-buffer step) runs per operation on the
+    native backend's SoA stores.
+    """
+    if backend != "native":
+        return None
+    return getattr(add_buffer, "native_mode", None)
+
+
+def _run_native(
+    compiled: CompiledNet,
+    library: BufferLibrary,
+    mode: int,
+    algorithm: str,
+    driver: Optional[Driver],
+) -> BufferingResult:
+    """Solve a :class:`CompiledNet` in the native executor.
+
+    The whole schedule runs in C, in chunks of at most
+    :data:`repro.core.native.CHUNK_FINALS` node boundaries; between
+    chunks the deadline is polled (site ``"dp.schedule"``) and an
+    active :class:`~repro.obs.profiler.KernelProfiler` is filled from
+    the executor's per-op counters.
+    """
+    from repro.core import native
+    from repro.obs.profiler import active_profiler
+
+    context = native.acquire(compiled)
+    profiler = active_profiler()
+    started = time.perf_counter()
+    tracer = active_tracer()
+    try:
+        with (
+            tracer.span(
+                "dp.schedule", backend="native", algorithm=algorithm,
+                instructions=len(compiled.ops),
+            )
+            if tracer is not None
+            else nullcontext()
+        ):
+            context.begin(mode, profiler is not None)
+            context.run(0, len(compiled.ops), active_deadline(),
+                        "dp.schedule", profiler)
+        depth, _, peak, generated, _ = context.info()
+        assert depth == 1, "schedule must reduce to the root list"
+        # The context stands in for the root list: len() is the root's
+        # candidate count and NativeContext.best its driver argmax.
+        return _finish(
+            context, native.NativeContext.best, _release_noop, driver,
+            algorithm, compiled.num_buffer_positions, library, peak,
+            generated, started, "native",
+        )
+    finally:
+        native.release(context)
+
+
 def _run_compiled(
     compiled: CompiledNet,
     library: BufferLibrary,
@@ -320,6 +379,9 @@ def _run_compiled(
     """Solve a :class:`CompiledNet` with the interpreter loop."""
     compiled.check_library(library)
     driver = driver if driver is not None else compiled.driver
+    mode = native_mode(backend, add_buffer)
+    if mode is not None:
+        return _run_native(compiled, library, mode, algorithm, driver)
     plans = compiled.plans()
     factory = None if backend == "object" else compiled.factory(backend)
     sink_op, wire_op, merge_op, best_op, release = _resolve_ops(
@@ -412,6 +474,10 @@ def run_dynamic_program(
     auto = auto_compile_enabled() and not has_overrides
     if auto:
         compiled = cached_schedule(tree, library)
+        if compiled is None and native_mode(backend, add_buffer) is not None:
+            # The native executor runs schedules only: compile (and
+            # validate) the fresh tree instead of walking it.
+            compiled = cache_schedule(tree, library)
         if compiled is not None:
             return _run_compiled(
                 compiled, library, add_buffer, algorithm, driver, backend

@@ -58,6 +58,11 @@ def _store_add_buffer_destructive(store, plan: BufferPlan):
     return store.apply_buffer(plan, generator="hull", destructive=True)
 
 
+# The native executor runs these two steps itself (repro.core.native).
+_store_add_buffer_keep_all.native_mode = 0
+_store_add_buffer_destructive.native_mode = 1
+
+
 @register_algorithm("fast")
 class FastAlgorithm(InsertionAlgorithm):
     """Convex pruning + monotone hull walk: the paper's contribution."""

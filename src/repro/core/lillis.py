@@ -32,6 +32,10 @@ def _store_add_buffer(store, plan: BufferPlan):
     return store.apply_buffer(plan, generator="scan")
 
 
+# The native executor runs this step itself (repro.core.native).
+_store_add_buffer.native_mode = 2
+
+
 @register_algorithm("lillis")
 class LillisAlgorithm(InsertionAlgorithm):
     """Exhaustive per-type scans: the baseline the paper accelerates."""

@@ -157,6 +157,9 @@ class CompiledNet:
         self._runtime: Optional[tuple] = None
         self._sink_index_of: Optional[Dict[int, int]] = None
         self._group_signature: Optional[tuple] = None
+        #: Native-executor binding and idle contexts (see
+        #: :func:`repro.core.native.acquire`); per process, never pickled.
+        self._native = None
 
     # -- solve-time accessors ------------------------------------------
 
@@ -407,6 +410,7 @@ class CompiledNet:
         state["_runtime"] = None  # unboxed lazily per process
         state["_sink_index_of"] = None  # rebuilt lazily on first patch
         state["_group_signature"] = None  # recomputed lazily per process
+        state["_native"] = None  # native contexts hold C pointers
         # The subtree-range/patch maps exist for the in-process
         # incremental engine only (which compiles privately and never
         # pickles); shipping ~3n dict entries to every batch worker

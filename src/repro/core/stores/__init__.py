@@ -9,6 +9,8 @@ and how the paper's operations execute over them:
 * ``"soa"`` — structure of arrays: parallel NumPy ``q``/``c`` float
   arrays plus a decision index array; hot loops are whole-array
   operations (:mod:`repro.core.stores.soa`).
+* ``"native"`` — the whole compiled schedule in one C call
+  (:mod:`repro.core.native`); per-operation callers get SoA stores.
 
 Third-party backends register without touching core::
 
@@ -91,9 +93,11 @@ AUTO_BACKEND = "auto"
 def resolve_backend(name: str) -> str:
     """Resolve a backend name, mapping ``"auto"`` to a concrete backend.
 
-    ``"auto"`` picks ``"soa"`` when NumPy is importable and falls back
-    to ``"object"`` otherwise, so callers get the fast path by default
-    without breaking NumPy-less installs.  Concrete names (including
+    ``"auto"`` picks ``"native"`` when its C executor builds and loads
+    (first use compiles it; see :mod:`repro.core.native`), else
+    ``"soa"`` when NumPy is importable, else ``"object"``, so callers
+    get the fast path by default without breaking installs that lack
+    a compiler or NumPy.  Concrete names (including
     third-party registrations) pass through unchanged; unknown names
     are rejected by :func:`get_store_backend` at lookup time.
     """
@@ -101,11 +105,19 @@ def resolve_backend(name: str) -> str:
         return name
     from repro.core.stores.soa import np as _np
 
-    return "object" if _np is None else "soa"
+    if _np is None:
+        return "object"
+    from repro.core import native
+
+    return "native" if native.available() else "soa"
 
 
 register_store_backend("object")(ObjectStoreFactory)
 register_store_backend("soa")(SoAStoreFactory)
+
+from repro.core.native import NativeStoreFactory  # noqa: E402
+
+register_store_backend("native")(NativeStoreFactory)
 
 __all__ = [
     "BestCandidate",
@@ -115,6 +127,7 @@ __all__ = [
     "ObjectStoreFactory",
     "SoAStore",
     "SoAStoreFactory",
+    "NativeStoreFactory",
     "register_store_backend",
     "unregister_store_backend",
     "get_store_backend",

@@ -532,9 +532,13 @@ class TapeArchive:
         self.b = tape.b[:length].copy()
         self.c = tape.c[:length].copy()
         self.plans = list(tape.plans)
+        self._freeze_splices(tape.splices)
+
+    def _freeze_splices(self, spliced) -> None:
+        """Keep the spliced decisions, flattening those at the chain cap."""
         depth = 1
         splices: List[object] = []
-        for obj in tape.splices:
+        for obj in spliced:
             chain = getattr(obj, "chain_depth", 0)
             if chain >= _CHAIN_LIMIT:
                 splices.append(ExpandedDecision(reconstruct_assignment(obj)))
@@ -547,6 +551,29 @@ class TapeArchive:
 
     def nbytes(self) -> int:
         return 4 * self.op.nbytes if len(self.op) else 0
+
+    def expand_into(self, index: int, assignment: Dict[int, object]) -> None:
+        """Backtrace record ``index`` into ``assignment``."""
+        op = self.op
+        a = self.a
+        b = self.b
+        c = self.c
+        plans = self.plans
+        splices = self.splices
+        pending = [index]
+        while pending:
+            index = pending.pop()
+            kind = op[index]
+            if kind == _TAPE_BUFFER:
+                plan = plans[c[index]]
+                assignment[plan.node_id] = plan.by_resistance_desc[b[index]]
+                pending.append(a[index])
+            elif kind == _TAPE_MERGE:
+                pending.append(a[index])
+                pending.append(b[index])
+            elif kind == _TAPE_SPLICE:
+                assignment.update(reconstruct_assignment(splices[a[index]]))
+            # _TAPE_SINK carries no buffers.
 
 
 class ArchivedDecision:
@@ -571,27 +598,7 @@ class ArchivedDecision:
         return self.archive.depth
 
     def expand(self, assignment: Dict[int, object], stack: list) -> None:
-        archive = self.archive
-        op = archive.op
-        a = archive.a
-        b = archive.b
-        c = archive.c
-        plans = archive.plans
-        splices = archive.splices
-        pending = [self.index]
-        while pending:
-            index = pending.pop()
-            kind = op[index]
-            if kind == _TAPE_BUFFER:
-                plan = plans[c[index]]
-                assignment[plan.node_id] = plan.by_resistance_desc[b[index]]
-                pending.append(a[index])
-            elif kind == _TAPE_MERGE:
-                pending.append(a[index])
-                pending.append(b[index])
-            elif kind == _TAPE_SPLICE:
-                assignment.update(reconstruct_assignment(splices[a[index]]))
-            # _TAPE_SINK carries no buffers.
+        self.archive.expand_into(self.index, assignment)
 
     def __repr__(self) -> str:
         return f"ArchivedDecision({self.index})"

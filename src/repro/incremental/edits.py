@@ -29,6 +29,7 @@ rejected edit never leaves a session half-applied.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple, Type
 
@@ -72,6 +73,19 @@ class Edit:
             EditError: The edit does not apply to this net.
         """
         raise NotImplementedError
+
+    def check_finite(self) -> None:
+        """Reject NaN/inf payloads (the session patches the compiled
+        schedule without re-validating the tree, so the check is here).
+
+        Raises:
+            EditError: A numeric field is not finite.
+        """
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise EditError(f"{self.op}: {field.name} must be finite, "
+                                f"got {value}")
 
     def describe(self) -> str:
         """One-line human summary (CLI transcripts)."""

@@ -46,6 +46,7 @@ index reuse the decisions unwrapped.
 from __future__ import annotations
 
 import time
+from array import array
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.candidate import (
@@ -53,7 +54,7 @@ from repro.core.candidate import (
     ExpandedDecision,
     reconstruct_assignment,
 )
-from repro.core.dp import _finish, _resolve_ops
+from repro.core.dp import _finish, _release_noop, _resolve_ops, native_mode
 from repro.core.registry import get_algorithm
 from repro.core.schedule import (
     OP_FINAL,
@@ -90,6 +91,13 @@ from repro.service.canon import (
 )
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
+
+
+#: Frontiers a native session keeps per chain of vertices, and the
+#: fewest instructions between two kept frontiers (see
+#: :meth:`IncrementalSolver._native_probes`).
+NATIVE_CAPTURES = 64
+NATIVE_MIN_STRIDE = 16
 
 
 class TreeIndex:
@@ -261,6 +269,9 @@ class IncrementalSolver:
             self.backend, library, **options
         )
         self._label = strategy.stats_label(**options)
+        #: Executor mode when the session runs in the native executor
+        #: (``None``: the Python interpreter loop below).
+        self._native_mode = native_mode(self.backend, self._add_buffer)
         self.cache = cache if cache is not None else FrontierCache()
         self._context_key = digest_body(";".join((
             f"lib={library_key(library)}",
@@ -281,12 +292,20 @@ class IncrementalSolver:
         self.compiled: CompiledNet = compile_net(tree, library, validate=False)
         self._digest: Dict[int, str] = {}
         self._entry: Dict[int, str] = {}
+        #: Per-vertex payload and incoming-edge texts of the digests,
+        #: and the parent / children maps of the dirty-path walk (the
+        #: last two are dropped on every structural edit).
+        self._payload: Dict[int, str] = {}
+        self._prefix: Dict[int, str] = {}
+        self._parents: Dict[int, int] = {}
+        self._kids: Dict[int, Tuple[int, ...]] = {}
         self._rebuild_digests()
         self._index: Optional[TreeIndex] = None
         self._index_stale = True
         self._schedule_stale = False
         self._probe: Optional[Dict[int, List[int]]] = None
         self._final_node: Optional[Dict[int, int]] = None
+        self._native_points: Optional[tuple] = None
         self._stale = True
         self._last_result: Optional[BufferingResult] = None
         #: Session counters (surfaced by /stats and `repro edit`).
@@ -302,7 +321,7 @@ class IncrementalSolver:
     def _body(self, node_id: int) -> str:
         """The order-sensitive Merkle body of one vertex (see module
         docstring for why children are *not* sorted here)."""
-        body = node_payload(self.tree, node_id)
+        body = self._payload[node_id] = node_payload(self.tree, node_id)
         children = self.tree.children_of(node_id)
         if children:
             entry = self._entry
@@ -310,29 +329,61 @@ class IncrementalSolver:
         return body
 
     def _digest_node(self, node_id: int) -> None:
-        self._digest[node_id] = digest_body(self._body(node_id))
+        digest = digest_body(self._body(node_id))
+        self._digest[node_id] = digest
         if node_id != self.tree.root_id:
             edge = self.tree.edge_to(node_id)
-            self._entry[node_id] = edge_entry(
-                edge.resistance, edge.capacitance, self._digest[node_id]
-            )
+            prefix = edge_entry(edge.resistance, edge.capacitance, "")
+            self._prefix[node_id] = prefix
+            self._entry[node_id] = prefix + digest
 
     def _rebuild_digests(self) -> None:
         self._digest.clear()
         self._entry.clear()
+        self._payload.clear()
+        self._prefix.clear()
         for node_id in self.tree.postorder():
             self._digest_node(node_id)
 
     def _recompute_up(self, node_id: int) -> None:
-        """Refresh digests from ``node_id`` to the root (the dirty path)."""
+        """Refresh digests from ``node_id`` to the root (the dirty path).
+
+        The anchor is the deepest vertex the edit touched; strictly
+        above it only child entries change, so the ancestors' own
+        payload and edge texts come from the cache.
+        """
         tree = self.tree
-        current: Optional[int] = node_id
-        while current is not None:
-            self._digest_node(current)
-            current = (
-                None if current == tree.root_id
-                else tree.edge_to(current).parent
-            )
+        root = tree.root_id
+        self._digest_node(node_id)
+        current = node_id
+        digests = self._digest
+        entries = self._entry
+        payloads = self._payload
+        prefixes = self._prefix
+        parents = self._parents
+        kids = self._kids
+        while current != root:
+            parent = parents.get(current)
+            if parent is None:
+                parent = parents[current] = tree.edge_to(current).parent
+            current = parent
+            payload = payloads.get(current)
+            prefix = prefixes.get(current)
+            if payload is None or (prefix is None and current != root):
+                self._digest_node(current)
+                continue
+            children = kids.get(current)
+            if children is None:
+                children = kids[current] = tree.children_of(current)
+            if len(children) == 1:
+                body = payload + "[" + entries[children[0]] + "]"
+            else:
+                body = payload + "[" + "|".join(
+                    [entries[child] for child in children]) + "]"
+            digest = digest_body(body)
+            digests[current] = digest
+            if current != root:
+                entries[current] = prefix + digest
 
     # -- edits ---------------------------------------------------------
 
@@ -353,20 +404,26 @@ class IncrementalSolver:
             edit = edit_from_dict(edit)
         if not isinstance(edit, Edit):
             raise EditError(f"not an edit: {edit!r}")
+        edit.check_finite()
         impact = edit.apply(self.tree)
         self.edits_applied += 1
         self._stale = True
+        if impact.structural:
+            self._parents.clear()
+            self._kids.clear()
 
         for node_id in impact.removed:
             self._digest.pop(node_id, None)
             self._entry.pop(node_id, None)
+            self._payload.pop(node_id, None)
+            self._prefix.pop(node_id, None)
         if isinstance(edit, (SetWire, SplitWire)):
             # The child keeps its digest; only its edge-prefixed entry
             # (and everything above) changes.
             edge = self.tree.edge_to(edit.node)
-            self._entry[edit.node] = edge_entry(
-                edge.resistance, edge.capacitance, self._digest[edit.node]
-            )
+            prefix = edge_entry(edge.resistance, edge.capacitance, "")
+            self._prefix[edit.node] = prefix
+            self._entry[edit.node] = prefix + self._digest[edit.node]
         for node_id in impact.created:
             self._digest_node(node_id)
         if impact.anchor is not None:
@@ -410,6 +467,7 @@ class IncrementalSolver:
         self._schedule_stale = False
         self._probe = None
         self._final_node = None
+        self._native_points = None
 
     def _frozen_index(self) -> TreeIndex:
         if self._index is None or self._index_stale:
@@ -433,34 +491,89 @@ class IncrementalSolver:
             }
         return self._probe
 
+    def _native_probes(self) -> tuple:
+        """``(probes, final_node, points)`` restricted to the vertices a
+        native session memoizes.
+
+        Executing is cheap in the native executor and capturing a
+        frontier is not, so a native session keeps about
+        :data:`NATIVE_CAPTURES` frontiers per chain instead of one per
+        vertex: a vertex is kept when its subtree's instruction count
+        crosses a multiple of the stride — ``len(schedule) /
+        NATIVE_CAPTURES``, at least :data:`NATIVE_MIN_STRIDE` — that
+        none of its children's counts reach, and the root always is.  A
+        splice then lands on the nearest kept vertex below a clean
+        boundary and the few instructions in between run again.  Only
+        kept vertices are probed; ``points`` lists their start and
+        final instructions in order.
+        """
+        if self._native_points is None:
+            compiled = self.compiled
+            start_of = compiled.start_of_node
+            final_of = compiled.final_of_node
+            stride = max(NATIVE_MIN_STRIDE,
+                         len(compiled.ops) // NATIVE_CAPTURES)
+            bucket = {
+                node: (final_of[node] - start_of[node] + 1) // stride
+                for node in final_of
+            }
+            children_of = self.tree.children_of
+            root = self.tree.root_id
+            kept = [
+                node for node in final_of
+                if node == root or bucket[node] > max(
+                    (bucket[child] for child in children_of(node)), default=0
+                )
+            ]
+            probes: Dict[int, List[int]] = {}
+            for node in kept:
+                probes.setdefault(start_of[node], []).append(node)
+            for nodes in probes.values():
+                nodes.sort(key=final_of.__getitem__, reverse=True)
+            final_node = {final_of[node]: node for node in kept}
+            points = sorted(set(probes) | set(final_node))
+            self._native_points = (probes, final_node, points)
+        return self._native_points
+
     # -- splice / capture ----------------------------------------------
 
     def _splice(
         self, snapshot: FrontierSnapshot, target_root: int, index: TreeIndex
     ):
         decisions = snapshot.decision_list()
-        if snapshot.canon is not index or snapshot.root_id != target_root:
-            src_of = snapshot.canon.index_of_node
-            dst_nodes = index.node_of_index
-            offset = index.index_of_node[target_root] - src_of[snapshot.root_id]
-            wrapped = []
-            for decision in decisions:
-                if getattr(decision, "chain_depth", 0) >= _CHAIN_LIMIT:
-                    # Cap the provenance chain: expand + translate now
-                    # (O(answer) once) instead of nesting another
-                    # generation of wrappers.
-                    wrapped.append(ExpandedDecision({
-                        dst_nodes[src_of[node_id] + offset]: buffer
-                        for node_id, buffer
-                        in reconstruct_assignment(decision).items()
-                    }))
-                else:
-                    wrapped.append(SplicedFrontierDecision(
-                        decision, snapshot.canon, snapshot.root_id,
-                        index, target_root,
-                    ))
-            decisions = wrapped
+        translate = self._translator(snapshot, target_root, index)
+        if translate is not None:
+            decisions = [translate(decision) for decision in decisions]
         return splice_snapshot(snapshot, self.factory, decisions=decisions)
+
+    @staticmethod
+    def _translator(
+        snapshot: FrontierSnapshot, target_root: int, index: TreeIndex
+    ):
+        """Maps a snapshot decision onto ``target_root``'s node ids, or
+        ``None`` when the splice lands where the snapshot was taken."""
+        if snapshot.canon is index and snapshot.root_id == target_root:
+            return None
+        src_of = snapshot.canon.index_of_node
+        dst_nodes = index.node_of_index
+        offset = index.index_of_node[target_root] - src_of[snapshot.root_id]
+
+        def translate(decision):
+            if getattr(decision, "chain_depth", 0) >= _CHAIN_LIMIT:
+                # Cap the provenance chain: expand + translate now
+                # (O(answer) once) instead of nesting another
+                # generation of wrappers.
+                return ExpandedDecision({
+                    dst_nodes[src_of[node_id] + offset]: buffer
+                    for node_id, buffer
+                    in reconstruct_assignment(decision).items()
+                })
+            return SplicedFrontierDecision(
+                decision, snapshot.canon, snapshot.root_id,
+                index, target_root,
+            )
+
+        return translate
 
     # -- the dirty-path interpreter ------------------------------------
 
@@ -475,6 +588,8 @@ class IncrementalSolver:
         if self._last_result is not None and not self._stale:
             return self._last_result
         self._ensure_schedule()
+        if self._native_mode is not None:
+            return self._resolve_native()
         index = self._frozen_index()
         compiled = self.compiled
         steps, wire_r, wire_c, sink_node, sink_q, sink_c = compiled.runtime()
@@ -640,7 +755,10 @@ class IncrementalSolver:
                 ))
         if factory is not None:
             factory.end_solve()
+        return self._record(result, executed, total, spliced)
 
+    def _record(self, result, executed: int, total: int,
+                spliced: int) -> BufferingResult:
         self.resolves += 1
         self.last_executed_fraction = executed / total if total else 0.0
         self.last_spliced_subtrees = spliced
@@ -649,6 +767,128 @@ class IncrementalSolver:
         self._last_result = result
         self._stale = False
         return result
+
+    def _resolve_native(self) -> BufferingResult:
+        """:meth:`resolve` on the native executor.
+
+        The same control flow as the interpreter loop — probe the cache
+        at subtree starts, splice hits, capture completed frontiers —
+        planned up front: whether a probe hits or a frontier needs
+        capturing depends only on the digests and the cache (captures
+        are committed after the run), so a walk over the probe and
+        node-boundary points yields the splice points and the capture
+        list.  The executor then runs each span between two splices in
+        one call, keeping the listed frontiers as it passes them, with
+        per-stack-entry peak/generated aggregates.
+        """
+        from bisect import bisect_left
+
+        from repro.core import native
+        from repro.obs.profiler import active_profiler
+
+        index = self._frozen_index()
+        compiled = self.compiled
+        probes, final_node, events = self._native_probes()
+        final_of_node = compiled.final_of_node
+        digest = self._digest
+        cache = self.cache
+        context_key = self._context_key
+        capture = self.capture
+        total = len(compiled.ops)
+
+        started = time.perf_counter()
+        tracer = active_tracer()
+        resolve_handle = (
+            tracer.begin("incremental.resolve", backend=self.backend)
+            if tracer is not None
+            else None
+        )
+        # Plan: (splice instruction, snapshot, node) in order, plus the
+        # node-final instructions whose frontiers are kept.
+        splices: List[tuple] = []
+        captures = array("q")
+        pending: List[tuple] = []
+        pending_keys = set()
+        executed = 0
+        cursor = 0
+        position = 0
+        count = len(events)
+        while position < count:
+            point = events[position]
+            nodes_here = probes.get(point)
+            if nodes_here is not None:
+                snapshot = None
+                for node in nodes_here:
+                    snapshot = cache.get((digest[node], context_key))
+                    if snapshot is not None:
+                        break
+                if snapshot is not None:
+                    splices.append((point, snapshot, node))
+                    executed += point - cursor
+                    cursor = final_of_node[node] + 1
+                    position = bisect_left(events, cursor, position)
+                    continue
+            if capture:
+                node = final_node.get(point)
+                if node is not None:
+                    key = (digest[node], context_key)
+                    if key not in pending_keys and key not in cache:
+                        pending_keys.add(key)
+                        captures.append(point)
+                        pending.append((key, node))
+            position += 1
+        executed += total - cursor
+
+        deadline = active_deadline()
+        profiler = active_profiler()
+        site = "incremental.resolve"
+        context = native.acquire(compiled)
+        try:
+            context.begin(self._native_mode, profiler is not None, captures)
+            cursor = 0
+            for point, snapshot, node in splices:
+                context.run(cursor, point, deadline, site, profiler)
+                splice_handle = (
+                    tracer.begin("splice", node=node, size=len(snapshot.q))
+                    if tracer is not None
+                    else None
+                )
+                translate = self._translator(snapshot, node, index)
+                decision_at = (
+                    snapshot.decision_at if translate is None
+                    else lambda i, s=snapshot, t=translate: t(s.decision_at(i))
+                )
+                context.push(snapshot.q, snapshot.c, decision_at,
+                             snapshot.peak, snapshot.generated)
+                if splice_handle is not None:
+                    tracer.end(splice_handle)
+                cursor = final_of_node[node] + 1
+            context.run(cursor, total, deadline, site, profiler)
+            depth, _, peak, generated, _ = context.info()
+            assert depth == 1, "schedule must reduce to the root list"
+            if resolve_handle is not None:
+                tracer.end(
+                    resolve_handle, executed=executed, total=total,
+                    spliced=len(splices),
+                )
+            result = _finish(
+                context, native.NativeContext.best, _release_noop,
+                self.driver if self.driver is not None else self.tree.driver,
+                self._label, compiled.num_buffer_positions, self.library,
+                peak, generated, started, self.backend,
+            )
+            if pending:
+                archive = native.NativeArchive(context)
+                for (key, node), (q, c, d, peak, generated) in zip(
+                    pending, context.captured()
+                ):
+                    cache.put(key, FrontierSnapshot(
+                        q, c, None, index, node, peak, generated,
+                        archive=archive, d=d,
+                    ))
+        finally:
+            native.release(context)
+        return self._record(result, executed, total, len(splices))
 
     # -- introspection -------------------------------------------------
 

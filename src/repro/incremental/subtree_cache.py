@@ -115,6 +115,14 @@ class FrontierSnapshot:
             ArchivedDecision(archive, index) for index in self.d.tolist()
         ]
 
+    def decision_at(self, index: int):
+        """Candidate ``index``'s decision alone (see :meth:`decision_list`)."""
+        if self.decisions is not None:
+            return self.decisions[index]
+        from repro.core.stores.soa import ArchivedDecision
+
+        return ArchivedDecision(self.archive, int(self.d[index]))
+
     def __len__(self) -> int:
         return len(self.q)
 

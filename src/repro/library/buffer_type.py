@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,6 +45,19 @@ class BufferType:
     max_load: Optional[float] = field(default=None)
 
     def __post_init__(self) -> None:
+        for label, value in (
+            ("driving resistance", self.driving_resistance),
+            ("input capacitance", self.input_capacitance),
+            ("intrinsic delay", self.intrinsic_delay),
+            ("cost", self.cost),
+            ("max_load", 0.0 if self.max_load is None else self.max_load),
+        ):
+            # NaN slips through every ordered comparison below, and a
+            # non-finite parameter makes the DP's arithmetic meaningless.
+            if not math.isfinite(value):
+                raise LibraryError(
+                    f"buffer {self.name!r}: {label} must be finite, got {value}"
+                )
         if self.driving_resistance <= 0.0:
             raise LibraryError(
                 f"buffer {self.name!r}: driving resistance must be positive, "

@@ -164,6 +164,10 @@ class CostModel:
 
     # -- prediction -----------------------------------------------------
 
+    def covers(self, backend: str) -> bool:
+        """Whether the artifact has fitted curves for ``backend``."""
+        return f"{backend}-compiled" in self._base
+
     def _solo_seconds(self, backend: str, mode: str, work: float) -> float:
         key = f"{backend}-{mode}"
         curve = self._base.get(key)
@@ -227,7 +231,7 @@ class CostModel:
         error (surfaced by ``/stats``) is accounted *before* the update,
         so it reflects the predictions routing actually used.
         """
-        if seconds <= 0.0:
+        if seconds <= 0.0 or not self.covers(plan.backend):
             return
         raw = self.predict_raw(plan, features)
         if raw <= 0.0:

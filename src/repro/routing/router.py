@@ -200,10 +200,15 @@ def set_default_policy(policy: str) -> str:
     return previous
 
 
-def _soa_available() -> bool:
+def _available_backends() -> List[str]:
+    """The stores ``"auto"`` may choose from: object, soa with NumPy,
+    native when its executor is loaded."""
     from repro.core.stores import resolve_backend
 
-    return resolve_backend("auto") == "soa"
+    auto = resolve_backend("auto")
+    if auto == "object":
+        return ["object"]
+    return ["object", "soa"] + (["native"] if auto == "native" else [])
 
 
 class Router:
@@ -278,7 +283,7 @@ class Router:
         elif self._constraints.backend is not None:
             backends = [self._constraints.backend]
         else:
-            backends = ["object"] + (["soa"] if _soa_available() else [])
+            backends = _available_backends()
 
         plans: List[ExecutionPlan] = []
         if features.kind == "session":
@@ -298,10 +303,13 @@ class Router:
                 for mode in modes:
                     plans.append(ExecutionPlan(store, mode))
             if supports_parallel:
+                # The native executor never partitions: one C call per
+                # solve leaves no interpreter overhead to split.
                 for store in backends:
-                    plans.append(
-                        ExecutionPlan(store, "compiled", parallel=True)
-                    )
+                    if store != "native":
+                        plans.append(
+                            ExecutionPlan(store, "compiled", parallel=True)
+                        )
         return plans
 
     # -- decision rules -------------------------------------------------
@@ -322,7 +330,7 @@ class Router:
         batch = supports_batch and features.lanes > 1
         if batch:
             return ExecutionPlan("soa", "compiled", batch_axis=True)
-        parallel = supports_parallel and (
+        parallel = supports_parallel and store != "native" and (
             self.parallel_mode == "always"
             or (
                 self.parallel_mode == "auto"
@@ -365,7 +373,13 @@ class Router:
                 if constraints.admits(candidate)
             ]
         if candidates:
-            if constraints.use_model:
+            # TEMPORARY: the fitted cost model has no native curves, so
+            # while native is a candidate "model" takes the static plan
+            # (ROADMAP: replace the model by a per-size threshold table).
+            if constraints.use_model and all(
+                self.model.covers(candidate.backend)
+                for candidate in candidates
+            ):
                 model = self.model
                 costs = {
                     candidate: model.predict(candidate, features)

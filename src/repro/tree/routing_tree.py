@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -477,7 +478,9 @@ class RoutingTree:
         * node 0 exists, is the unique source and the unique root;
         * every non-root node has exactly one incoming edge;
         * every leaf is a sink and every sink is a leaf;
-        * every node is reachable from the root.
+        * every node is reachable from the root;
+        * every sink's required arrival and capacitance and every edge's
+          parasitics are finite (a :class:`TreeError`).
         """
         if self.root_id not in self._nodes:
             raise TreeStructureError("tree has no source (node 0)")
@@ -501,6 +504,25 @@ class RoutingTree:
                 raise TreeStructureError(f"sink {node.node_id} has children")
         if self.num_sinks == 0:
             raise TreeStructureError("tree has no sinks")
+        # Every backend must see the same input: NaN passes the
+        # constructors' sign checks, and the object, soa and native
+        # kernels would each treat a non-finite value differently.
+        isfinite = math.isfinite
+        for node in self._nodes.values():
+            if node.is_sink and not (
+                isfinite(node.required_arrival) and isfinite(node.capacitance)
+            ):
+                raise TreeError(
+                    f"sink {node.node_id}: required arrival and capacitance "
+                    f"must be finite (RAT={node.required_arrival}, "
+                    f"C={node.capacitance})"
+                )
+        for edge in self._edges.values():
+            if not (isfinite(edge.resistance) and isfinite(edge.capacitance)):
+                raise TreeError(
+                    f"edge {edge.parent}->{edge.child}: parasitics must be "
+                    f"finite (R={edge.resistance}, C={edge.capacitance})"
+                )
 
     def __repr__(self) -> str:
         return (

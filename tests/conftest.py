@@ -53,3 +53,13 @@ def line_net() -> RoutingTree:
 @pytest.fixture
 def paper_lib8() -> BufferLibrary:
     return paper_library(8)
+
+
+@pytest.fixture
+def no_native(monkeypatch):
+    """Make the native executor look unavailable (a failed build), so
+    ``resolve_backend("auto")`` falls back to soa for this test."""
+    from repro.core import native
+
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_failure", "disabled for this test")

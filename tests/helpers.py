@@ -109,3 +109,19 @@ def random_small_tree(seed: int, max_extra: int = 3) -> RoutingTree:
         sink(child)
     tree.validate()
     return tree
+
+
+def require_backend(backend: str) -> None:
+    """Skip the calling test when ``backend`` cannot run here (soa needs
+    numpy; native also needs its executor to build and load)."""
+    import pytest
+
+    if backend == "object":
+        return
+    pytest.importorskip("numpy")
+    if backend == "native":
+        from repro.core import native
+
+        if not native.available():
+            pytest.skip(f"native executor unavailable: "
+                        f"{native.unavailable_reason()}")

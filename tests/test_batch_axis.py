@@ -229,7 +229,7 @@ class TestPoolGrouping:
         tree = medium_net(83, sinks=6, positions=70)
         nets = [v for _, v in corner_variants(tree, 5)]
         loner = random_small_tree(9)
-        with SolverPool(library) as pool:
+        with SolverPool(library, backend="soa") as pool:
             results = pool.solve(nets + [loner])
             stats = pool.batch_axis_stats()
         assert stats["enabled"] is True

@@ -54,7 +54,10 @@ from repro.incremental import (
 from repro.tree.routing_tree import RoutingTree
 from repro.units import fF, ps
 
-BACKENDS = ("object", "soa") if resolve_backend("auto") == "soa" else ("object",)
+BACKENDS = ("object",) + tuple(
+    name for name in ("soa", "native")
+    if resolve_backend("auto") in (name, "native")
+)
 
 ALGORITHMS = ("fast", "lillis", "van_ginneken")
 
@@ -454,6 +457,16 @@ def twin_arm_tree(arms=2):
 
 
 class TestSiblingDigestSharing:
+    @pytest.fixture(autouse=True)
+    def memoize_every_vertex(self, monkeypatch):
+        """A native session keeps only frontiers at least
+        NATIVE_MIN_STRIDE instructions apart, more than these arms
+        span; a stride of 1 keeps every vertex, as the other backends
+        do, so the shared-arm splices happen on native too."""
+        import repro.incremental.engine as engine
+
+        monkeypatch.setattr(engine, "NATIVE_MIN_STRIDE", 1)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_edit_in_one_arm_translates_the_other(self, backend):
         library = paper_library(4)
@@ -496,6 +509,23 @@ class TestSiblingDigestSharing:
         result = second.resolve()
         assert cache.stats()["hits"] > hits_before
         assert_parity(result, second.tree, library, "fast", backend)
+
+
+def test_native_session_skips_tiny_frontiers():
+    """Below NATIVE_MIN_STRIDE instructions a native session memoizes
+    only the root; re-running such subtrees is cheaper than capturing."""
+    if "native" not in BACKENDS:
+        pytest.skip("native executor unavailable")
+    library = paper_library(4)
+    tree = twin_arm_tree()
+    cache = FrontierCache()
+    solver = IncrementalSolver(tree, library, backend="native", cache=cache)
+    assert_parity(solver.resolve(), tree, library, "fast", "native")
+    assert cache.stats()["entries"] == 1
+    solver.apply(SwapDriver(resistance=95.0))
+    assert_parity(solver.resolve(), tree, library, "fast", "native")
+    assert solver.last_spliced_subtrees == 1
+    assert solver.last_executed_fraction == 0.0
 
 
 # ----------------------------------------------------------------------

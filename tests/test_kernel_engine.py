@@ -1,7 +1,7 @@
-"""The zero-object SoA kernel engine: parity, provenance tape, cutoffs.
+"""The kernel engines (SoA and native): parity, provenance tape, cutoffs.
 
-The acceptance bar for the vectorized backend is *bit identity* with
-the object backend — exact (``==``) root slack, driver load **and**
+The acceptance bar for the vectorized and native backends is *bit
+identity* with the object backend — exact (``==``) root slack, driver load **and**
 buffer assignment — across algorithms, drivers, load-capped libraries
 and polarity cases, plus loud failure (never aliasing) when provenance
 outlives its solve.
@@ -28,7 +28,17 @@ from repro.errors import AlgorithmError, InfeasibleError
 from repro.library.generators import mixed_paper_library
 from repro.units import fF, ps
 
+
+def _native_available():
+    from repro.core import native
+
+    return native.available()
+
 numpy = pytest.importorskip("numpy")
+
+#: Kernel backends held to the object reference: soa always (numpy is
+#: present), native when its executor builds here.
+KERNELS = ("soa",) + (("native",) if _native_available() else ())
 
 
 def assert_identical(a, b):
@@ -77,9 +87,11 @@ def test_parity_corpus(algorithm, seed):
     driver = DRIVERS[seed % len(DRIVERS)]
     obj = insert_buffers(tree, library, algorithm=algorithm,
                          driver=driver, backend="object")
-    soa = insert_buffers(tree, library, algorithm=algorithm,
-                         driver=driver, backend="soa")
-    assert_identical(obj, soa)
+    for backend in KERNELS:
+        kernel = insert_buffers(tree, library, algorithm=algorithm,
+                                driver=driver, backend=backend)
+        assert_identical(obj, kernel)
+        assert kernel.stats.backend == backend
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -89,8 +101,9 @@ def test_parity_corpus_compiled(seed):
     library = _library_for(seed + 900, "fast")
     compiled = compile_net(tree, library)
     obj = insert_buffers(compiled, library, backend="object")
-    soa = insert_buffers(compiled, library, backend="soa")
-    assert_identical(obj, soa)
+    for backend in KERNELS:
+        assert_identical(obj, insert_buffers(compiled, library,
+                                             backend=backend))
 
 
 @pytest.mark.parametrize("destructive", [False, True])
@@ -102,9 +115,11 @@ def test_parity_destructive_long_trunk(destructive):
     library = paper_library(16, jitter=0.03, seed=16)
     obj = insert_buffers(tree, library, destructive_pruning=destructive,
                          backend="object")
-    soa = insert_buffers(tree, library, destructive_pruning=destructive,
-                         backend="soa")
-    assert_identical(obj, soa)
+    for backend in KERNELS:
+        kernel = insert_buffers(tree, library,
+                                destructive_pruning=destructive,
+                                backend=backend)
+        assert_identical(obj, kernel)
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +151,20 @@ def test_polarity_parity(algorithm, seed):
     assert verify_polarities(tree, soa.assignment)
     assert soa.stats.backend == "soa"
     assert obj.stats.backend == "object"
+    if "native" in KERNELS:
+        # The polarity DP is a per-op caller: native runs SoA stores.
+        native = insert_buffers_with_inverters(
+            tree, library, algorithm=algorithm, backend="native")
+        assert_identical(obj, native)
+        assert native.stats.backend == "native"
 
 
 def test_polarity_auto_backend_resolves():
     tree, _ = _polarized_tree(3)
     library = mixed_paper_library(4, seed=11)
     result = insert_buffers_with_inverters(tree, library, backend="auto")
-    assert result.stats.backend == "soa"  # numpy present in this suite
+    # numpy is present in this suite; gcc makes the native executor.
+    assert result.stats.backend == KERNELS[-1]
 
 
 def test_polarity_infeasible_is_backend_independent():
@@ -150,7 +172,7 @@ def test_polarity_infeasible_is_backend_independent():
     for sink in tree.sinks():
         sink.polarity = -1
     library = paper_library(4)  # no inverters at all
-    for backend in ("object", "soa"):
+    for backend in ("object",) + KERNELS:
         with pytest.raises(InfeasibleError):
             insert_buffers_with_inverters(tree, library, backend=backend)
 

@@ -13,6 +13,8 @@ import pickle
 
 import pytest
 
+from helpers import require_backend
+
 from repro import (
     Driver,
     RoutingTree,
@@ -23,6 +25,7 @@ from repro import (
     random_tree_net,
     uniform_random_library,
 )
+from repro.core.stores import resolve_backend
 from repro.errors import AlgorithmError
 from repro.parallel import (
     DEFAULT_PARALLEL_THRESHOLD,
@@ -173,9 +176,9 @@ class TestParityCorpus:
     """
 
     @pytest.mark.parametrize("algorithm", ["fast", "lillis", "van_ginneken"])
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", "soa", "native"])
     def test_algorithms_and_backends(self, algorithm, backend, library):
-        pytest.importorskip("numpy") if backend == "soa" else None
+        require_backend(backend)
         if algorithm == "van_ginneken":  # single-buffer algorithm
             library = paper_library(1)
         for seed in (0, 1, 2):
@@ -202,8 +205,9 @@ class TestParityCorpus:
         )
         assert_identical(result, insert_buffers(compiled, library))
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", "soa", "native"])
     def test_mixed_polarity_sinks(self, backend, library):
+        require_backend(backend)
         for seed in (3, 4):
             net = mixed_polarity_net(seed)
             compiled = compile_net(net, library)
@@ -287,9 +291,10 @@ class TestSolverPoolRouting:
             SolverPool(library, parallel="sometimes")
 
     def test_pool_partitioned_solve_bit_identical(self, medium_net, library):
-        reference = insert_buffers(medium_net, library)
+        reference = insert_buffers(medium_net, library, backend="soa")
         with SolverPool(
-            library, jobs=2, parallel="always", policy="static"
+            library, jobs=2, parallel="always", policy="static",
+            backend="soa",
         ) as pool:
             first = pool.solve([medium_net])[0]
             second = pool.solve([medium_net])[0]  # pool reuse
@@ -314,12 +319,13 @@ class TestSolverPoolRouting:
     def test_custom_threshold_routes_small_nets(self, library):
         small = random_net(9, sinks=12, positions=400)
         with SolverPool(
-            library, jobs=2, parallel="auto", parallel_threshold=100
+            library, jobs=2, parallel="auto", parallel_threshold=100,
+            backend="soa",
         ) as pool:
             result = pool.solve([small])[0]
             stats = pool.parallel_stats()
         assert stats["parallel_solves"] + stats["fallback_solves"] == 1
-        assert_identical(result, insert_buffers(small, library))
+        assert_identical(result, insert_buffers(small, library, backend="soa"))
 
     def test_parallel_never_disables_routing(self, medium_net, library):
         with SolverPool(
@@ -334,15 +340,30 @@ class TestSolverPoolRouting:
     def test_mixed_batch_routes_only_large_nets(self, medium_net, library):
         small = [random_net(seed, sinks=8, positions=60) for seed in (20, 21)]
         nets = [small[0], medium_net, small[1]]
-        references = [insert_buffers(net, library) for net in nets]
+        references = [
+            insert_buffers(net, library, backend="soa") for net in nets
+        ]
         with SolverPool(
-            library, jobs=2, parallel="auto", parallel_threshold=2000
+            library, jobs=2, parallel="auto", parallel_threshold=2000,
+            backend="soa",
         ) as pool:
             results = pool.solve(nets)
             stats = pool.parallel_stats()
         for result, reference in zip(results, references):
             assert_identical(result, reference)
         assert stats["parallel_solves"] + stats["fallback_solves"] == 1
+
+    def test_native_pool_never_partitions(self, medium_net, library):
+        if resolve_backend("auto") != "native":
+            pytest.skip("native executor unavailable")
+        with SolverPool(
+            library, jobs=2, parallel="always", policy="static",
+        ) as pool:
+            result = pool.solve([medium_net])[0]
+            stats = pool.parallel_stats()
+        assert stats["parallel_solves"] == 0
+        assert_identical(result, insert_buffers(medium_net, library))
+        assert result.stats.backend == "native"
 
     def test_closed_pool_refuses_work(self, library):
         pool = SolverPool(

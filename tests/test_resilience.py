@@ -13,6 +13,8 @@ import time
 
 import pytest
 
+from helpers import require_backend
+
 from repro import Driver, compile_net, insert_buffers, paper_library, random_tree_net
 from repro.core.batch import SolverPool, solve_many
 from repro.errors import (
@@ -155,11 +157,10 @@ class TestDeadlineInStrategies:
         clock.now = 1.0
         return deadline
 
-    @pytest.mark.parametrize("backend", ["object", "soa"])
+    @pytest.mark.parametrize("backend", ["object", "soa", "native"])
     def test_insert_buffers(self, backend, library):
-        if backend == "soa":
-            pytest.importorskip("numpy")
-        with pytest.raises(DeadlineExceeded):
+        require_backend(backend)
+        with pytest.raises(DeadlineExceeded, match="dp"):
             insert_buffers(
                 small_net(), library, backend=backend,
                 deadline=self.expired(),
@@ -620,6 +621,7 @@ class TestFaultSitesAcrossStrategies:
         net = partitionable_net()
         with SolverPool(
             library, jobs=2, policy="always_parallel", task_timeout=5.0,
+            backend="soa",
         ) as pool:
             result = pool.solve([net])[0]
             counters = pool.resilience_stats()

@@ -281,13 +281,21 @@ class TestPolicies:
         # ... but stays sequential when it does not.
         plan = router.route(_features(lanes=2))
         assert plan == ExecutionPlan(auto, "compiled")
-        # The instruction floor turns on the partitioned solve.
+        # The instruction floor turns on the partitioned solve (an soa
+        # and object strategy: the native executor never partitions).
         plan = router.route(
-            _features(instructions=1000), supports_parallel=True
+            _features(instructions=1000), backend="soa",
+            supports_parallel=True,
         )
         assert plan.parallel
         plan = router.route(
-            _features(instructions=999), supports_parallel=True
+            _features(instructions=999), backend="soa",
+            supports_parallel=True,
+        )
+        assert not plan.parallel
+        plan = router.route(
+            _features(instructions=10**6), backend="native",
+            supports_parallel=True,
         )
         assert not plan.parallel
         # Sessions splice.
@@ -319,7 +327,22 @@ class TestPolicies:
         plan = Router(policy="model").route(_features(), backend="object")
         assert plan.backend == "object"
 
-    def test_model_policy_picks_cheapest_candidate(self):
+    def test_model_policy_takes_static_plan_while_native_loaded(self):
+        """The fitted model has no native curves yet: with the native
+        executor loaded, "model" routes exactly like "static"."""
+        if resolve_backend("auto") != "native":
+            pytest.skip("native executor unavailable")
+        model = CostModel.from_spec(_toy_spec())
+        router = Router(policy="model", model=model)
+        static = Router(policy="static")
+        for features in (_features(positions=5), _features(positions=5000)):
+            assert router.route(features) == static.route(features)
+            assert router.route(features).backend == "native"
+        assert "native" in {
+            plan.backend for plan in router.candidate_plans(_features())
+        }
+
+    def test_model_policy_picks_cheapest_candidate(self, no_native):
         model = CostModel.from_spec(_toy_spec())
         router = Router(policy="model", model=model)
         # Toy curves make object cheapest at small work ...
@@ -330,7 +353,7 @@ class TestPolicies:
             plan = router.route(_features(positions=5000))
             assert plan == ExecutionPlan("soa", "compiled")
 
-    def test_composite_needs_a_margin(self):
+    def test_composite_needs_a_margin(self, no_native):
         """A composite plan near a predicted tie loses to the best
         simple plan; a decisive composite win is taken."""
         spec = _toy_spec()

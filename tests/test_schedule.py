@@ -365,19 +365,25 @@ def test_solve_many_accepts_precompiled_nets():
 # ----------------------------------------------------------------------
 
 
+def _expected_auto():
+    from repro.core import native
+
+    if numpy is None:
+        return "object"
+    return "native" if native.available() else "soa"
+
+
 def test_resolve_backend_auto():
     assert resolve_backend("object") == "object"
     assert resolve_backend("soa") == "soa"
-    expected = "soa" if numpy is not None else "object"
-    assert resolve_backend("auto") == expected
+    assert resolve_backend("auto") == _expected_auto()
 
 
 def test_insert_buffers_auto_backend():
     tree = random_small_tree(14)
     library = uniform_random_library(4, seed=140)
     result = insert_buffers(tree, library, backend="auto")
-    expected = "soa" if numpy is not None else "object"
-    assert result.stats.backend == expected
+    assert result.stats.backend == _expected_auto()
     explicit = insert_buffers(tree, library, backend="object")
     assert_identical(result, explicit)
 

@@ -539,7 +539,9 @@ class TestResilienceServing:
 
             def worker():
                 try:
-                    h.client.solve(big, lib8)
+                    # The object store keeps each solve long enough for
+                    # the four requests to overlap.
+                    h.client.solve(big, lib8, backend="object")
                     results.append(("ok", None))
                 except ServiceError as exc:
                     results.append(("err", str(exc)))
@@ -678,7 +680,7 @@ class TestPartitionedServing:
         expected = insert_buffers(big, library)
         h = ServerHarness(jobs=2, cache_size=16, parallel_threshold=500)
         try:
-            answer = h.client.solve(big, library)
+            answer = h.client.solve(big, library, backend="soa")
             assert answer["slack_seconds"] == expected.slack
             assert answer["assignment"] == {
                 str(node_id): buffer.name
