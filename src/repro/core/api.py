@@ -137,8 +137,10 @@ def insert_buffers(
         from repro.routing.features import features_of
 
         router = _router_for(policy)
+        # Extracting features walks a plain tree; only size-reading
+        # policies (the cost model) pay for it.
         plan = router.route(
-            features_of(tree, library),
+            features_of(tree, library) if router.reads_sizes() else None,
             backend=backend,
             supports_walk=isinstance(tree, RoutingTree),
         )

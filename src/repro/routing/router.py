@@ -200,6 +200,13 @@ def set_default_policy(policy: str) -> str:
     return previous
 
 
+#: Stands in for the features of a plain solve when no decision reads
+#: its sizes (see :meth:`Router.route`).
+_UNSIZED = RequestFeatures(
+    positions=0, sinks=0, library_size=0, instructions=0
+)
+
+
 def _available_backends() -> List[str]:
     """The stores ``"auto"`` may choose from: object, soa with NumPy,
     native when its executor is loaded."""
@@ -339,16 +346,41 @@ class Router:
         )
         return ExecutionPlan(store, "compiled", parallel=parallel)
 
+    def reads_sizes(
+        self, *, supports_batch: bool = False, supports_parallel: bool = False
+    ) -> bool:
+        """Whether :meth:`route` reads a request's size features.
+
+        Only the cost model and the batch and parallel eligibility rules
+        look at sizes; any other decision needs the request kind alone.
+        """
+        return (
+            self._constraints.use_model or supports_batch or supports_parallel
+        )
+
     def route(
         self,
-        features: RequestFeatures,
+        features: Optional[RequestFeatures],
         *,
         backend: str = "auto",
         supports_batch: bool = False,
         supports_parallel: bool = False,
         supports_walk: bool = False,
     ) -> ExecutionPlan:
-        """Pick the execution plan for one request under this policy."""
+        """Pick the execution plan for one request under this policy.
+
+        ``features=None`` stands for one plain solve whose sizes were
+        not extracted; it is legal only where :meth:`reads_sizes` is
+        false, which spares the caller an O(n) walk of a plain tree.
+        """
+        if features is None:
+            if self.reads_sizes(supports_batch=supports_batch,
+                                supports_parallel=supports_parallel):
+                raise ValueError(
+                    f"policy {self.policy!r} reads request sizes; "
+                    "pass the request's features"
+                )
+            features = _UNSIZED
         tracer = active_tracer()
         route_handle = (
             tracer.begin("route", policy=self.policy)

@@ -39,9 +39,16 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.library.library import BufferLibrary
+from repro.tree.io import (
+    SOURCE_PAYLOAD,
+    NetColumns,
+    internal_payload,
+    sink_payload,
+    tree_columns,
+)
 from repro.tree.node import Driver
 from repro.tree.routing_tree import RoutingTree
 
@@ -88,24 +95,17 @@ class CanonicalNet:
         return self.subtree_keys[self.index_of_node[node_id]]
 
 
-def _node_payload(tree: RoutingTree, node_id: int) -> str:
-    node = tree.node(node_id)
-    if node.is_sink:
-        return (
-            f"S(c={_f(node.capacitance)},q={_f(node.required_arrival)},"
-            f"p={node.polarity:+d})"
-        )
-    if node.is_source:
-        return "N()"
-    allowed = node.allowed_buffers
-    allowed_text = "*" if allowed is None else ",".join(sorted(allowed))
-    return f"I(bp={int(node.is_buffer_position)},f=[{allowed_text}])"
-
-
 def node_payload(tree: RoutingTree, node_id: int) -> str:
     """The canonical payload text of one vertex (public for the
     incremental engine, which recomputes digests along dirty paths)."""
-    return _node_payload(tree, node_id)
+    node = tree.node(node_id)
+    if node.is_sink:
+        return sink_payload(
+            node.capacitance, node.required_arrival, node.polarity
+        )
+    if node.is_source:
+        return SOURCE_PAYLOAD
+    return internal_payload(node.is_buffer_position, node.allowed_buffers)
 
 
 def edge_entry(resistance: float, capacitance: float, digest: str) -> str:
@@ -119,17 +119,22 @@ def digest_body(body: str) -> str:
 
 
 def canonicalize(
-    tree: RoutingTree, memo: Optional[Dict[str, str]] = None
+    net: Union[RoutingTree, NetColumns], memo: Optional[Dict[str, str]] = None
 ) -> CanonicalNet:
-    """Compute ``tree``'s canonical digest and node-index assignment.
+    """Compute a net's canonical digest and node-index assignment.
 
-    Runs in O(n log n) (one post-order pass hashing, one pre-order pass
-    numbering; the log factor is the per-vertex child sort).  Both passes
-    are iterative — path-shaped nets can be tens of thousands of vertices
-    deep.
+    One Merkle loop over the net's columns (a :class:`RoutingTree` is
+    first turned into columns by :func:`repro.tree.io.tree_columns`):
+    rows are visited children-first, each hashing its payload and its
+    children's sorted edge-prefixed digests; then one pre-order pass
+    numbers the rows.  O(n log n), the log factor being the per-vertex
+    child sort, and iterative throughout — path-shaped nets can be tens
+    of thousands of vertices deep.
 
     Args:
-        tree: The routing tree to canonicalize.
+        net: The routing tree, or the columns of a decoded net
+            (:func:`repro.tree.io.decode_net`), whose node ids are the
+            ones :func:`repro.tree.io.build_tree` would assign: rows.
         memo: Optional ``{body text: digest}`` table shared across
             calls.  Structurally repeated subtrees produce the same
             body text at every level, so sharing one memo over a batch
@@ -137,46 +142,85 @@ def canonicalize(
             instead of once per occurrence (the server's ``/batch``
             path does this).
     """
-    # Bottom-up: digest every subtree.  A child contributes through the
-    # edge that reaches it, so moving a subtree to a different wire
-    # changes the parent digest even when the subtree itself is equal.
-    entry: Dict[int, str] = {}  # node id -> its edge-prefixed entry string
-    digest: Dict[int, str] = {}
-    children_sorted: Dict[int, List[int]] = {}
-    for node_id in tree.postorder():
-        kids = sorted(tree.children_of(node_id), key=entry.__getitem__)
-        children_sorted[node_id] = kids
-        body = _node_payload(tree, node_id)
-        if kids:
-            body += "[" + "|".join(entry[child] for child in kids) + "]"
+    if isinstance(net, RoutingTree):
+        columns = tree_columns(net)
+        node_of_row: Sequence[int] = columns.ids
+    else:
+        columns = net
+        node_of_row = range(columns.num_nodes)
+    parent = columns.parent
+    payload = columns.payload
+    resistance = columns.resistance
+    capacitance = columns.capacitance
+    sha256 = hashlib.sha256
+    count = len(parent)
+    # Bottom-up: parents precede children, so a reverse row scan meets
+    # every child before its parent.  A child contributes through the
+    # edge that reaches it (its entry), so moving a subtree to a
+    # different wire changes the parent digest even when the subtree
+    # itself is equal.
+    kids: List[Optional[List[int]]] = [None] * count
+    entry: List[str] = [""] * count
+    digest: List[str] = [""] * count
+    prefixes: Dict[Tuple[float, float], str] = {}
+    for row in range(count - 1, -1, -1):
+        children = kids[row]
+        if children is None:
+            body = payload[row]
+        elif len(children) == 1:
+            body = f"{payload[row]}[{entry[children[0]]}]"
+        else:
+            # Collected in reverse; a stable sort by entry after
+            # restoring child order keeps interchangeable siblings in
+            # child order.
+            children.reverse()
+            children.sort(key=entry.__getitem__)
+            body = f"{payload[row]}[{'|'.join([entry[k] for k in children])}]"
         if memo is None:
-            digest[node_id] = _digest(body)
+            hashed = sha256(body.encode()).hexdigest()
         else:
             hashed = memo.get(body)
             if hashed is None:
-                hashed = memo[body] = _digest(body)
-            digest[node_id] = hashed
-        if node_id != tree.root_id:
-            edge = tree.edge_to(node_id)
-            entry[node_id] = edge_entry(
-                edge.resistance, edge.capacitance, digest[node_id]
-            )
+                hashed = memo[body] = sha256(body.encode()).hexdigest()
+        digest[row] = hashed
+        if row:
+            # Segmented wires repeat a few (R, C) pairs many times over.
+            # Zeros bypass the table: 0.0 and -0.0 are equal keys but
+            # hash to different texts.
+            r = resistance[row]
+            c = capacitance[row]
+            prefix = prefixes.get((r, c)) if r and c else None
+            if prefix is None:
+                prefix = prefixes[(r, c)] = edge_entry(r, c, "")
+            entry[row] = prefix + hashed
+            up = parent[row]
+            if kids[up] is None:
+                kids[up] = [row]
+            else:
+                kids[up].append(row)
 
-    # Top-down: number nodes in pre-order, children in sorted order.
-    node_of_index: List[int] = []
-    stack = [tree.root_id]
+    # Top-down: number rows in pre-order, children in sorted order.
+    order: List[int] = []
+    stack = [0]
     while stack:
-        node_id = stack.pop()
-        node_of_index.append(node_id)
-        stack.extend(reversed(children_sorted[node_id]))
+        row = stack.pop()
+        order.append(row)
+        children = kids[row]
+        if children is None:
+            continue
+        if len(children) == 1:
+            stack.append(children[0])
+        else:
+            stack.extend(reversed(children))
 
+    node_of_index = tuple([node_of_row[row] for row in order])
     return CanonicalNet(
-        key=digest[tree.root_id],
-        node_of_index=tuple(node_of_index),
+        key=digest[0],
+        node_of_index=node_of_index,
         index_of_node={
             node_id: index for index, node_id in enumerate(node_of_index)
         },
-        subtree_keys=tuple(digest[node_id] for node_id in node_of_index),
+        subtree_keys=tuple([digest[row] for row in order]),
     )
 
 

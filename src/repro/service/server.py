@@ -80,17 +80,20 @@ one session serialize on a per-session lock.
 
 Request flow for ``/solve`` (``/batch`` is the same per net):
 
-1. parse the net and library from the JSON body
-   (:func:`repro.tree.io.tree_from_dict` — validation happens here,
-   once per net, never again downstream);
-2. canonicalize (:func:`repro.service.canon.canonicalize`) and derive
-   the request key;
-3. cache hit → translate the stored
+1. parse the JSON body (strict: ``NaN`` and ``±Infinity`` are a 400)
+   and decode the net into validated flat columns
+   (:func:`repro.tree.io.decode_net` — validation happens here, once
+   per net, never again downstream; a malformed field is a 400);
+2. apply the ``max_positions`` check to the columns' position count;
+3. digest the columns (:func:`repro.service.canon.canonicalize`),
+   derive the request key and probe the cache;
+4. cache hit → translate the stored
    :class:`~repro.service.cache.SolutionPayload` onto *this* request's
-   node ids via the canonical index mapping and answer — no compile, no
-   solve, no worker dispatch;
-4. cache miss → fetch (or compile and remember) the
-   :class:`~repro.core.schedule.CompiledNet` for this structure, solve
+   node ids via the canonical index mapping and answer — no tree, no
+   compile, no solve, no worker dispatch;
+5. cache miss → fetch the :class:`~repro.core.schedule.CompiledNet`
+   for this structure, or build the tree from the columns
+   (:func:`repro.tree.io.build_tree`), compile and remember it; solve
    it on the persistent :class:`~repro.core.batch.SolverPool` for this
    (library, algorithm, backend, options) context, store the payload,
    answer.
@@ -154,7 +157,12 @@ from repro.service.canon import (
     options_key,
     request_key,
 )
-from repro.tree.io import library_from_dict, tree_from_dict
+from repro.tree.io import (
+    build_tree,
+    decode_net,
+    library_from_dict,
+    tree_from_dict,
+)
 
 _JSON_HEADERS = "Content-Type: application/json\r\nConnection: close\r\n"
 _TEXT_HEADERS = (
@@ -1214,7 +1222,12 @@ class BufferServer:
         misses: "List[_NetRecord]",
         digest_memo: Dict[str, str],
     ) -> None:
-        """Parse, canonicalize, cache-probe and compile every net."""
+        """Decode, digest and cache-probe every net; compile the misses.
+
+        A hit never builds a :class:`~repro.tree.routing_tree.RoutingTree`:
+        the decoded columns carry everything the key and the answer
+        need.
+        """
         for index, net_spec in enumerate(net_specs):
             if not isinstance(net_spec, dict):
                 raise _BadRequest(
@@ -1222,31 +1235,29 @@ class BufferServer:
                     f"got {type(net_spec).__name__}"
                 )
             try:
-                # tree_from_dict re-assigns node ids; keep the map so
-                # answers speak the ids the request was written in.
-                tree, id_map = tree_from_dict(net_spec, with_id_map=True)
+                columns = decode_net(net_spec)
             except ReproError as exc:
                 raise _BadRequest(f"invalid net at index {index}: {exc}") from exc
-            if (
-                self.max_positions is not None
-                and tree.num_buffer_positions > self.max_positions
-            ):
+            positions = columns.num_buffer_positions
+            if self.max_positions is not None and positions > self.max_positions:
                 self.counters["rejected_payloads"] += 1
                 raise _HttpError(
-                    f"net at index {index} has {tree.num_buffer_positions} "
+                    f"net at index {index} has {positions} "
                     f"buffer positions, above the server's max_positions "
                     f"limit of {self.max_positions}",
                     status=422,
                 )
-            canon = canonicalize(tree, memo=digest_memo)
+            canon = canonicalize(columns, memo=digest_memo)
             record = _NetRecord(
                 key=request_key(
                     canon, request.library, algorithm=request.algorithm,
                     backend=request.backend, options=request.options,
-                    driver=tree.driver,
+                    driver=columns.driver,
                 ),
                 canon=canon,
-                serialized_id={new: old for old, new in id_map.items()},
+                # Node ids are rows; answers speak the ids the request
+                # was written in.
+                serialized_id=columns.ids,
             )
             records.append(record)
             record.payload = self._cache_get(record.key)
@@ -1263,14 +1274,15 @@ class BufferServer:
                 # compiled net across drivers would solve with the
                 # wrong one.
                 compiled_key = (
-                    canon.key, request.library_key, driver_key(tree.driver)
+                    canon.key, request.library_key, driver_key(columns.driver)
                 )
                 entry = self.compiled.get(compiled_key)
                 if entry is None:
                     try:
-                        # tree_from_dict already validated; skip re-validation.
+                        # decode_net already validated; skip re-validation.
                         entry = (
-                            compile_net(tree, request.library, validate=False),
+                            compile_net(build_tree(columns), request.library,
+                                        validate=False),
                             canon,
                         )
                     except ReproError as exc:
@@ -1578,7 +1590,7 @@ class _NetRecord:
         self,
         key: str,
         canon: CanonicalNet,
-        serialized_id: Dict[int, Any],
+        serialized_id: List[Any],
     ) -> None:
         self.key = key
         self.canon = canon
@@ -1692,11 +1704,19 @@ class _SolveContext:
         return cls(library, algorithm, backend, options, policy, deadline_ms)
 
 
+def _reject_constant(name: str) -> None:
+    raise _BadRequest(
+        f"request body holds {name}: every number must be finite"
+    )
+
+
 def _parse_body(body: bytes) -> Dict[str, Any]:
     if not body:
         raise _BadRequest("request body required")
     try:
-        spec = json.loads(body)
+        # Strict JSON: NaN / Infinity / -Infinity are not JSON numbers,
+        # and no solve input may be non-finite.
+        spec = json.loads(body, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise _BadRequest(f"request body is not valid JSON: {exc}") from exc
     if not isinstance(spec, dict):

@@ -102,6 +102,32 @@ class RoutingTree:
         tree._add_node(Node(node_id=0, kind=NodeKind.SOURCE, name=name))
         return tree
 
+    @classmethod
+    def from_rows(
+        cls,
+        nodes: Sequence[Node],
+        edges: Iterable[Edge],
+        driver: Optional[Driver] = None,
+    ) -> "RoutingTree":
+        """Assemble a tree from already-validated parts, without checks.
+
+        ``nodes[i]`` must carry node id ``i`` (``nodes[0]`` the source)
+        and ``edges`` hold one edge into every other node, each listed
+        after its parent's, in child order.  The caller vouches for
+        every invariant :meth:`validate` checks;
+        :func:`repro.tree.io.build_tree` assembles decoded nets this way.
+        """
+        tree = cls(driver=driver)
+        tree._nodes = dict(enumerate(nodes))
+        children: Dict[int, List[int]] = {node_id: [] for node_id in tree._nodes}
+        tree._edges = {}
+        for edge in edges:
+            tree._edges[edge.child] = edge
+            children[edge.parent].append(edge.child)
+        tree._children = children
+        tree._next_id = len(nodes)
+        return tree
+
     def _add_node(self, node: Node) -> int:
         if node.node_id != self._next_id:
             raise TreeStructureError(

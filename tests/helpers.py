@@ -125,3 +125,92 @@ def require_backend(backend: str) -> None:
         if not native.available():
             pytest.skip(f"native executor unavailable: "
                         f"{native.unavailable_reason()}")
+
+
+# -- malformed serialized nets ------------------------------------------------
+
+def malformed_base() -> dict:
+    """A valid serialized net the :data:`MALFORMED_NETS` mutations break.
+
+    Rows: 0 source; 1, 2, 3, 7 buffer positions; 4, 5, 6, 8, 9 sinks
+    (4 and 5 under 3, 8 and 9 under 7); plus a driver.
+    """
+    from repro import random_tree_net
+    from repro.tree.io import tree_to_dict
+
+    data = tree_to_dict(random_tree_net(5, seed=1))
+    data["driver"] = {"resistance": 100.0, "intrinsic_delay": 0.0}
+    return data
+
+
+def _setter(path, value):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        data[path[-1]] = value
+    return mutate
+
+
+def _dropper(path):
+    def mutate(data):
+        for key in path[:-1]:
+            data = data[key]
+        del data[path[-1]]
+    return mutate
+
+
+def _allowed_off_a_position(data):
+    data["nodes"][1]["buffer_position"] = False
+    data["nodes"][1]["allowed_buffers"] = ["b0"]
+
+
+def _childless_internal(data):
+    del data["nodes"][8:10]
+
+
+#: Mutations of :func:`malformed_base` that every net reader must reject
+#: with a :class:`~repro.errors.TreeError` (each mutates in place).
+MALFORMED_NETS = {
+    "wrong format version": _setter(("format_version",), 2),
+    "missing nodes": _dropper(("nodes",)),
+    "nodes not a list": _setter(("nodes",), {"0": {}}),
+    "empty nodes": _setter(("nodes",), []),
+    "first node not the source": _setter(("nodes", 0, "kind"), "internal"),
+    "node not an object": _setter(("nodes", 2), [1, 2]),
+    "node is a string": _setter(("nodes", 4), "sink"),
+    "missing id": _dropper(("nodes", 2, "id")),
+    "unhashable id": _setter(("nodes", 2, "id"), [2]),
+    "duplicate id": _setter(("nodes", 3, "id"), 2),
+    "missing kind": _dropper(("nodes", 3, "kind")),
+    "unknown kind": _setter(("nodes", 1, "kind"), "mystery"),
+    "no edge": _dropper(("nodes", 1, "edge")),
+    "edge not an object": _setter(("nodes", 1, "edge"), 5.0),
+    "edge without parent": _dropper(("nodes", 3, "edge", "parent")),
+    "edge without resistance": _dropper(("nodes", 1, "edge", "resistance")),
+    "edge without capacitance": _dropper(("nodes", 2, "edge", "capacitance")),
+    "string resistance": _setter(("nodes", 1, "edge", "resistance"), "40"),
+    "null wire capacitance": _setter(("nodes", 4, "edge", "capacitance"),
+                                     None),
+    "string length": _setter(("nodes", 2, "edge", "length"), "far"),
+    "negative resistance": _setter(("nodes", 1, "edge", "resistance"), -1.0),
+    "parent not seen yet": _setter(("nodes", 1, "edge", "parent"), 7),
+    "unhashable parent": _setter(("nodes", 1, "edge", "parent"), [0]),
+    "attached under a sink": _setter(("nodes", 5, "edge", "parent"), 4),
+    "position not a list": _setter(("nodes", 1, "position"), 5),
+    "sink without capacitance": _dropper(("nodes", 4, "capacitance")),
+    "sink without required arrival": _dropper(
+        ("nodes", 6, "required_arrival")),
+    "string sink load": _setter(("nodes", 4, "capacitance"), "1e-15"),
+    "negative sink load": _setter(("nodes", 4, "capacitance"), -1e-15),
+    "bad polarity": _setter(("nodes", 5, "polarity"), 2),
+    "buffer_position not a flag": _setter(
+        ("nodes", 1, "buffer_position"), "yes"),
+    "allowed_buffers not a list": _setter(
+        ("nodes", 1, "allowed_buffers"), "b0"),
+    "allowed_buffers off a position": _allowed_off_a_position,
+    "childless internal vertex": _childless_internal,
+    "driver not an object": _setter(("driver",), 100.0),
+    "driver without resistance": _dropper(("driver", "resistance")),
+    "string driver resistance": _setter(("driver", "resistance"), "100"),
+    "negative driver resistance": _setter(("driver", "resistance"), -5.0),
+}

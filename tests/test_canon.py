@@ -11,6 +11,8 @@ indices translate an assignment between any two trees sharing a key.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import SLACK_ATOL, random_small_tree, relabeled
 from repro import Driver, RoutingTree, insert_buffers, paper_library
@@ -24,6 +26,7 @@ from repro.service.canon import (
     options_key,
     request_key,
 )
+from repro.tree.io import build_tree, decode_net, tree_to_dict
 from repro.units import fF, ps
 
 
@@ -51,6 +54,9 @@ def branchy_tree(**overrides) -> RoutingTree:
     return tree
 
 
+#: ``canonicalize(branchy_tree()).key`` as the tree-walking digest
+#: first computed it.
+BRANCHY_KEY = "51d580b6cc16a8a66a620a74979b60dc8a6099d657675fa810d16c0c9f9cbc66"
 
 
 class TestCanonicalInvariance:
@@ -214,3 +220,167 @@ class TestIndexMapping:
             # independent timing oracle reproduces the optimal slack.
             report = translated.verify(twin)
             assert report.slack == pytest.approx(result.slack, abs=SLACK_ATOL)
+
+
+# -- the column digest against the tree-walking definition ------------------
+
+def reference_canonicalize(tree: RoutingTree):
+    """The canonical digest as first defined: a post-order walk of the
+    tree hashing each vertex's payload with its children's entries sorted
+    (stable, so equal siblings keep child order), then a pre-order walk
+    numbering nodes.  Returns ``(key, node_of_index, subtree_keys)``."""
+    import hashlib
+
+    def f(value):
+        return float(value).hex()
+
+    def payload(node):
+        if node.is_sink:
+            return (f"S(c={f(node.capacitance)},q={f(node.required_arrival)},"
+                    f"p={node.polarity:+d})")
+        if node.is_source:
+            return "N()"
+        allowed = node.allowed_buffers
+        text = "*" if allowed is None else ",".join(sorted(allowed))
+        return f"I(bp={int(node.is_buffer_position)},f=[{text}])"
+
+    entry, digest, kids = {}, {}, {}
+    for node_id in tree.postorder():
+        kids[node_id] = sorted(tree.children_of(node_id),
+                               key=entry.__getitem__)
+        body = payload(tree.node(node_id))
+        if kids[node_id]:
+            body += "[" + "|".join(entry[k] for k in kids[node_id]) + "]"
+        digest[node_id] = hashlib.sha256(body.encode("utf-8")).hexdigest()
+        if node_id != tree.root_id:
+            edge = tree.edge_to(node_id)
+            entry[node_id] = (f"E(r={f(edge.resistance)},"
+                              f"c={f(edge.capacitance)})" + digest[node_id])
+    order, stack = [], [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        order.append(node_id)
+        stack.extend(reversed(kids[node_id]))
+    return (digest[tree.root_id], tuple(order),
+            tuple(digest[node_id] for node_id in order))
+
+
+def _as_triple(canon):
+    return canon.key, canon.node_of_index, canon.subtree_keys
+
+
+@st.composite
+def nets(draw):
+    """A random tree exercising every payload field, with repeats.
+
+    Values come from small pools so interchangeable siblings (equal
+    subtrees behind equal wires) are common: they are where the index
+    assignment depends on the tie order.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    wires = [(rng.choice((0.0, 2.5, 40.0)),
+              rng.choice((0.0, -0.0, fF(1.0), fF(8.0))))
+             for _ in range(3)]
+    loads = [(fF(rng.choice((5.0, 20.0))), ps(rng.choice((600.0, 900.0))))
+             for _ in range(2)]
+    tree = RoutingTree.with_source(
+        driver=Driver(rng.uniform(50.0, 300.0)) if rng.random() < 0.8
+        else None)
+    open_ids = [tree.root_id]
+    for _ in range(rng.randint(1, 14)):
+        parent = rng.choice(open_ids)
+        r, c = rng.choice(wires)
+        if rng.random() < 0.45:
+            buffer_position = rng.random() < 0.7
+            allowed = (rng.choice((None, ("b0",), ("b1", "b0")))
+                       if buffer_position else None)
+            open_ids.append(tree.add_internal(
+                parent, r, c, buffer_position=buffer_position,
+                allowed_buffers=allowed))
+        else:
+            load, rat = rng.choice(loads)
+            tree.add_sink(parent, r, c, capacitance=load,
+                          required_arrival=rat,
+                          polarity=rng.choice((1, 1, -1)))
+    # Every childless vertex (the source included) gets a sink.
+    for node_id in list(open_ids):
+        if not tree.children_of(node_id):
+            load, rat = rng.choice(loads)
+            tree.add_sink(node_id, *rng.choice(wires), capacitance=load,
+                          required_arrival=rat)
+    return tree, rng
+
+
+def serialized(tree: RoutingTree, rng: random.Random):
+    """``tree_to_dict(tree)`` with renamed ids and shuffled siblings."""
+    labels = {}
+    entries = {e["id"]: e for e in tree_to_dict(tree)["nodes"]}
+    nodes, stack = [], [tree.root_id]
+    while stack:
+        node_id = stack.pop()
+        labels[node_id] = rng.choice((f"n{len(labels)}", 1000 - len(labels)))
+        entry = dict(entries[node_id], id=labels[node_id])
+        if "edge" in entry:
+            entry["edge"] = dict(entry["edge"],
+                                 parent=labels[entry["edge"]["parent"]])
+        nodes.append(entry)
+        children = list(tree.children_of(node_id))
+        rng.shuffle(children)
+        stack.extend(children)
+    return dict(tree_to_dict(tree), nodes=nodes)
+
+
+class TestColumnDigest:
+    @settings(max_examples=150, deadline=None)
+    @given(nets())
+    def test_matches_the_tree_walking_definition(self, drawn):
+        tree, rng = drawn
+        assert _as_triple(canonicalize(tree)) == reference_canonicalize(tree)
+        data = serialized(tree, rng)
+        columns = decode_net(data)
+        rebuilt = build_tree(columns)
+        assert _as_triple(canonicalize(columns)) == reference_canonicalize(
+            rebuilt)
+        assert canonicalize(columns).key == canonicalize(tree).key
+        # The columns' serialized ids are the request's labels, by row.
+        assert columns.ids == [entry["id"] for entry in data["nodes"]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(nets())
+    def test_edited_trees_keep_child_order_ties(self, drawn):
+        # A split edge takes its child's slot, so child lists stop
+        # following node ids: the tree's own child order must decide
+        # ties, exactly as in the tree walk.
+        tree, rng = drawn
+        candidates = [n.node_id for n in tree.nodes()
+                      if n.node_id != tree.root_id]
+        for node_id in rng.sample(candidates, min(2, len(candidates))):
+            tree.split_edge(node_id, fraction=0.5)
+        assert _as_triple(canonicalize(tree)) == reference_canonicalize(tree)
+
+    def test_memo_does_not_change_the_digest(self):
+        tree = random_small_tree(5)
+        memo = {}
+        first = canonicalize(tree, memo=memo)
+        assert memo
+        assert _as_triple(canonicalize(tree, memo=memo)) == _as_triple(first)
+        assert _as_triple(first) == reference_canonicalize(tree)
+
+    def test_negative_zero_wires_hash_apart(self):
+        # 0.0 == -0.0, but their texts differ: one net holding both
+        # must not reuse one wire's text for the other.
+        def build(second_c):
+            tree = RoutingTree.with_source()
+            for c in (0.0, second_c):
+                tree.add_sink(tree.root_id, 40.0, c, capacitance=fF(5.0),
+                              required_arrival=ps(600.0))
+            return tree
+
+        mixed = build(-0.0)
+        assert canonicalize(mixed).key != canonicalize(build(0.0)).key
+        assert _as_triple(canonicalize(mixed)) == reference_canonicalize(mixed)
+
+    def test_branchy_tree_key_is_pinned(self):
+        # Keys outlive processes (cache entries, logs): the digest text
+        # format may not drift.
+        assert canonicalize(branchy_tree()).key == BRANCHY_KEY

@@ -622,3 +622,52 @@ class TestReplayCorpus:
         for entry in report["per_request"]:
             for chosen in entry["chosen"].values():
                 assert chosen in entry["measured_seconds"]
+
+
+class TestFeatureExtractionOnDemand:
+    """insert_buffers extracts features only for a decision that reads
+    request sizes: the cost model, batch or parallel eligibility."""
+
+    def _count_extractions(self, monkeypatch):
+        import repro.routing.features as features_module
+
+        calls = []
+        real = features_module.features_of
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(features_module, "features_of", counting)
+        return calls
+
+    def test_static_solve_extracts_no_features(self, monkeypatch):
+        tree = random_tree_net(6, seed=3)
+        library = paper_library(4)
+        expected = insert_buffers(tree, library, backend=resolve_backend("auto"))
+        calls = self._count_extractions(monkeypatch)
+        for policy in (None, "static", "always_object"):
+            result = insert_buffers(tree, library, policy=policy)
+            assert _result_fingerprint(result) == _result_fingerprint(
+                expected)
+        assert calls == []
+
+    def test_model_policy_still_extracts_them(self, monkeypatch):
+        tree = random_tree_net(6, seed=3)
+        calls = self._count_extractions(monkeypatch)
+        insert_buffers(tree, paper_library(4), policy="model")
+        assert calls == [tree]
+
+    def test_route_without_features(self):
+        features = features_of(random_tree_net(6, seed=3), paper_library(4))
+        for policy in ("static", "always_object", "always_walk"):
+            router = Router(policy=policy)
+            assert not router.reads_sizes()
+            assert router.route(None, supports_walk=True) == router.route(
+                features, supports_walk=True)
+        assert Router(policy="static").reads_sizes(supports_parallel=True)
+        assert Router(policy="static").reads_sizes(supports_batch=True)
+        model = Router(policy="model")
+        assert model.reads_sizes()
+        with pytest.raises(ValueError, match="reads request sizes"):
+            model.route(None)

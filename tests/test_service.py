@@ -13,14 +13,29 @@ import asyncio
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from helpers import SLACK_ATOL, random_small_tree, relabeled
-from repro import Driver, insert_buffers, paper_library, random_tree_net
-from repro.errors import ServiceError
+from helpers import (
+    MALFORMED_NETS,
+    SLACK_ATOL,
+    malformed_base,
+    random_small_tree,
+    relabeled,
+)
+from repro import (
+    Driver,
+    RoutingTree,
+    insert_buffers,
+    paper_library,
+    random_tree_net,
+)
+from repro.core.schedule import CompiledNet
+from repro.errors import ServiceError, TreeError
 from repro.service.client import ServiceClient
 from repro.service.server import BufferServer
 from repro.timing.buffered import evaluate_assignment
-from repro.tree.io import tree_to_dict
+from repro.tree.io import library_to_dict, tree_from_dict, tree_to_dict
 from repro.units import ps
 
 
@@ -116,6 +131,119 @@ class TestEndpoints:
             harness.client.solve_batch([], library)
 
 
+@pytest.fixture(scope="module")
+def shared_harness():
+    h = ServerHarness(jobs=1, cache_size=64)
+    try:
+        yield h
+    finally:
+        h.shutdown()
+
+
+def _post_raw(client, path, text):
+    """POST ``text`` verbatim; returns ``(status, decoded answer)``."""
+    import http.client
+    import json
+
+    connection = http.client.HTTPConnection(
+        client.host, client.port, timeout=10.0)
+    try:
+        connection.request("POST", path, body=text,
+                           headers={"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+def _rejections(client, data, library):
+    """The error text of ``data`` through /solve, /batch and /session.
+
+    Each endpoint must answer 400; the texts are returned with the
+    endpoint's own prefix stripped, so equal reasons compare equal.
+    """
+    valid = malformed_base()
+    calls = {
+        "solve": (lambda: client.solve(data, library),
+                  "invalid net at index 0: "),
+        "batch": (lambda: client.solve_batch([valid, data], library),
+                  "invalid net at index 1: "),
+        "session": (lambda: client.create_session(data, library),
+                    "invalid net: "),
+    }
+    reasons = {}
+    for name, (call, prefix) in calls.items():
+        with pytest.raises(ServiceError) as info:
+            call()
+        text = str(info.value)
+        assert "failed (400): " + prefix in text, (name, text)
+        reasons[name] = text.split(prefix, 1)[1]
+    return reasons
+
+
+class TestMalformedNets:
+    """A malformed net is a client error (400) with one typed reason,
+    whichever endpoint carries it."""
+
+    @pytest.mark.parametrize("label", sorted(MALFORMED_NETS))
+    def test_rejected_identically_everywhere(self, shared_harness, library,
+                                             label):
+        data = malformed_base()
+        MALFORMED_NETS[label](data)
+        with pytest.raises(TreeError) as info:
+            tree_from_dict(data)
+        reasons = _rejections(shared_harness.client, data, library)
+        assert set(reasons.values()) == {str(info.value)}
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_fields_never_escape_untyped(self, shared_harness,
+                                                library, data):
+        net = malformed_base()
+        row = data.draw(st.integers(0, len(net["nodes"]) - 1))
+        holder = net["nodes"][row]
+        if "edge" in holder and data.draw(st.booleans()):
+            holder = holder["edge"]
+        field = data.draw(st.sampled_from(sorted(holder)))
+        junk = data.draw(st.sampled_from(
+            (None, "x", [], {}, -1.0, True, 0, 2.5, "drop")))
+        if junk == "drop":
+            del holder[field]
+        else:
+            holder[field] = junk
+        try:
+            tree_from_dict(net)
+        except TreeError as exc:
+            reasons = _rejections(shared_harness.client, net, library)
+            assert set(reasons.values()) == {str(exc)}
+        else:
+            try:
+                shared_harness.client.solve(net, library)
+            except ServiceError as exc:
+                assert "(400)" in str(exc)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_constants_are_400(self, shared_harness,
+                                               library, constant):
+        import json
+
+        valid = json.dumps({
+            "net": malformed_base(), "library": library_to_dict(library)})
+        before = shared_harness.client.stats()["cache"]["size"]
+        for path in ("/solve", "/batch", "/session"):
+            text = valid.replace('"required_arrival": ',
+                                 f'"required_arrival": {constant}, "x": ', 1)
+            if path == "/batch":
+                text = text.replace('{"net": ', '{"nets": [', 1).replace(
+                    ', "library"', '], "library"', 1)
+            status, answer = _post_raw(shared_harness.client, path, text)
+            assert status == 400, (path, answer)
+            assert "must be finite" in answer["error"]
+            assert constant in answer["error"]
+        assert shared_harness.client.stats()["cache"]["size"] == before
+
+
 class TestSolveAndCache:
     def test_solve_matches_in_process_bit_for_bit(self, harness, net, library):
         expected = insert_buffers(net, library)
@@ -184,11 +312,35 @@ class TestSolveAndCache:
         weak["driver"]["resistance"] = 9000.0
         answer = harness.client.solve(weak, library)
         assert answer["cached"] is False
-        from repro.tree.io import tree_from_dict
-
         expected = insert_buffers(tree_from_dict(weak), library)
         assert answer["slack_seconds"] == expected.slack
         assert answer["slack_seconds"] != first["slack_seconds"]
+
+    def test_cache_hit_builds_no_tree_and_compiles_nothing(
+        self, harness, net, library, monkeypatch
+    ):
+        twin = relabeled(net, rename=True, reverse_children=True)
+        other = random_small_tree(3)
+        harness.client.solve(net, library)
+        built = []
+
+        def counting(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built.append(cls.__name__)
+                init(self, *args, **kwargs)
+            monkeypatch.setattr(cls, "__init__", wrapper)
+
+        counting(RoutingTree)
+        counting(CompiledNet)
+        assert harness.client.solve(net, library)["cached"] is True
+        assert harness.client.solve(twin, library)["cached"] is True
+        assert built == []
+        # The counters do see the server's own work: a miss builds one
+        # tree and compiles it.
+        assert harness.client.solve(other, library)["cached"] is False
+        assert built == ["RoutingTree", "CompiledNet"]
 
     def test_solve_accepts_plain_dict_payloads(self, harness, net, library):
         answer = harness.client.solve(tree_to_dict(net), library)
@@ -641,8 +793,11 @@ class TestResilienceServing:
             while time.monotonic() < deadline:
                 try:
                     h.client.healthz()
-                except ServiceError:
-                    break  # refused / reset: socket is down
+                except ServiceError as exc:
+                    # A 503 means the drain is still polling; only a
+                    # refused connection means the socket is down.
+                    if "cannot reach" in str(exc):
+                        break
                 time.sleep(0.05)
             else:
                 pytest.fail("server kept answering after drain")

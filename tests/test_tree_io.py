@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import MALFORMED_NETS, malformed_base
 from repro import (
     Driver,
     evaluate_slack,
@@ -14,6 +15,8 @@ from repro import (
 )
 from repro.errors import TreeError
 from repro.tree.io import (
+    build_tree,
+    decode_net,
     library_from_dict,
     library_to_dict,
     tree_from_dict,
@@ -112,3 +115,68 @@ def test_library_version_check():
     data["format_version"] = 0
     with pytest.raises(TreeError):
         library_from_dict(data)
+
+
+@pytest.mark.parametrize("label", sorted(MALFORMED_NETS))
+def test_malformed_net_is_a_tree_error(label):
+    data = malformed_base()
+    tree_from_dict(data)  # the base itself is valid
+    MALFORMED_NETS[label](data)
+    with pytest.raises(TreeError) as info:
+        tree_from_dict(data)
+    with pytest.raises(TreeError) as decoded:
+        decode_net(data)
+    assert str(decoded.value) == str(info.value)
+
+
+@pytest.mark.parametrize("path,field", [
+    (("nodes", 1, "edge", "resistance"), "'resistance'"),
+    (("nodes", 4, "required_arrival"), "'required_arrival'"),
+])
+def test_missing_field_error_names_node_and_field(path, field):
+    data = malformed_base()
+    holder = data
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    with pytest.raises(TreeError, match=f"node {path[1]}: .*{field}"):
+        tree_from_dict(data)
+
+
+def test_decoded_columns_match_the_built_tree(net):
+    columns = decode_net(tree_to_dict(net))
+    tree = build_tree(columns)
+    assert columns.num_nodes == tree.num_nodes == net.num_nodes
+    assert columns.num_buffer_positions == net.num_buffer_positions
+    assert columns.driver == net.driver
+    for row in range(1, columns.num_nodes):
+        edge = tree.edge_to(row)
+        assert (edge.parent, edge.resistance, edge.capacitance) == (
+            columns.parent[row], columns.resistance[row],
+            columns.capacitance[row])
+        assert tree.node(row).kind is columns.kind[row]
+    tree.validate()
+
+
+def test_messages_match_the_tree_api():
+    # The decoder reports tree-level faults in the words RoutingTree,
+    # Node and Edge use for the same fault.
+    data = malformed_base()
+    data["nodes"][4]["capacitance"] = -1e-15
+    with pytest.raises(TreeError,
+                       match=r"^sink 4: capacitance must be >= 0, got -1e-15$"):
+        tree_from_dict(data)
+    data = malformed_base()
+    data["nodes"][2]["edge"]["resistance"] = -1.0
+    with pytest.raises(TreeError, match=r"^edge 1->2: parasitics must be >= 0"):
+        tree_from_dict(data)
+    data = malformed_base()
+    data["nodes"][6]["required_arrival"] = float("nan")
+    with pytest.raises(TreeError, match=r"^sink 6: required arrival and "
+                       r"capacitance must be finite"):
+        tree_from_dict(data)
+    data = malformed_base()
+    data["nodes"][3]["edge"]["capacitance"] = float("inf")
+    with pytest.raises(TreeError, match=r"^edge 2->3: parasitics must be "
+                       r"finite"):
+        tree_from_dict(data)
